@@ -1,46 +1,54 @@
 //! Serving benchmark and HTTP driver.
 //!
-//! Two modes:
+//! Four modes:
 //!
-//! **In-process A/B (default)** — trains a small checkpoint, then runs the
-//! same closed-loop concurrent client load twice against an in-process
-//! server: once with micro-batching enabled, once disabled. Reports
-//! throughput, client-observed p50/p99 latency (obs power-of-two
-//! histogram quantiles), and server-side batch statistics, asserts the
-//! two phases' responses are **bitwise identical**, and writes
-//! `results/BENCH_serve.json`.
+//! **In-process benchmark (default)** — for IMDB at tiny and then paper
+//! scale, trains a GCN checkpoint, starts an in-process server (which
+//! builds the checkpoint's logits table with one forward), times a few
+//! hot reloads, and runs a closed-loop concurrent classify load. Every
+//! response body must equal the body built from direct
+//! `InferenceModel::logits()` rows. Reports server start, the table
+//! forward, reload cost, throughput, client-observed p50/p99 (obs
+//! power-of-two histogram quantiles) and the server-side lookup p50, and
+//! writes `results/BENCH_serve.json` with a provenance header.
 //!
 //! **External driver (`--connect HOST:PORT`)** — drives an already
 //! running `autoac_serve` process with the same closed-loop load, checks
 //! `/healthz`, validates that `/metrics` parses as Prometheus exposition
-//! text, prints the response digest (so `scripts/verify.sh` can diff a
-//! batched against an unbatched server), and optionally issues a graceful
+//! text, prints the response digest, and optionally issues a graceful
 //! `POST /admin/shutdown` (`--shutdown`).
 //!
+//! **Reference digest (`--reference CKPT`)** — prints the digest the
+//! driver must print against a server on `CKPT`, computed without a
+//! server from direct `InferenceModel::logits()` rows, so
+//! `scripts/verify.sh` can diff served bytes against the model.
+//!
+//! **Flight validation (`--validate-flight PATH`)** — strictly parses a
+//! flight-recorder dump (`FLIGHT_<run>.jsonl`) line by line and exits
+//! non-zero on the first malformed record.
+//!
 //! ```text
-//! serve_bench [--smoke] [--out FILE]              # in-process A/B
-//! serve_bench --connect HOST:PORT [--clients N] [--requests N]
-//!             [--shutdown]                        # drive external server
+//! serve_bench [--smoke] [--out FILE] [--clients N] [--requests N]
+//! serve_bench --connect HOST:PORT [--clients N] [--requests N] [--shutdown]
+//! serve_bench --reference CKPT
+//! serve_bench --validate-flight PATH
 //! ```
 //!
-//! `--smoke` clamps the load for CI and, unless `--out` is given
-//! explicitly, writes its report to a temp path so a smoke run can never
-//! clobber the committed `results/BENCH_serve.json` measurement.
-//!
-//! A third mode, `--validate-flight PATH`, strictly parses a flight-
-//! recorder dump (`FLIGHT_<run>.jsonl`) line by line and exits non-zero
-//! on the first malformed record — `scripts/verify.sh` runs it against
-//! the dump a terminated daemon leaves behind.
+//! `--smoke` runs tiny scale only with a clamped load and, unless `--out`
+//! is given explicitly, writes its report to a temp path so a smoke run
+//! can never clobber the committed `results/BENCH_serve.json`.
 
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
+use autoac_ckpt::ServeState;
 use autoac_core::{train_serve_state, InferenceModel, ServeTrainSpec, TrainConfig};
 use autoac_data::json::{self, Value};
-use autoac_serve::{BatchConfig, Client, ServeConfig, Server};
+use autoac_serve::{Client, ServeConfig, Server};
 
 /// Fixed pool of node sets every client cycles through, so each (set,
 /// checkpoint) pair has one well-defined canonical response.
@@ -67,6 +75,41 @@ fn nodes_body(nodes: &[usize]) -> String {
     format!("{{\"nodes\":[{}]}}", ids.join(","))
 }
 
+/// The digest the driver prints: FNV-1a over one body per node set.
+fn digest(bodies: &[String]) -> u64 {
+    let mut all = Vec::new();
+    for body in bodies {
+        all.extend_from_slice(body.as_bytes());
+        all.push(b'\n');
+    }
+    fnv1a64(&all)
+}
+
+/// The classify body for every node set, built from a direct forward of
+/// `model` — independently of the server's table and response code.
+fn reference_bodies(model: &InferenceModel, sets: &[Vec<usize>]) -> Vec<String> {
+    let logits = model.logits();
+    sets.iter()
+        .map(|nodes| {
+            let results = nodes
+                .iter()
+                .map(|&n| {
+                    let row = logits.row(n).iter().map(|&v| Value::Num(v as f64)).collect();
+                    Value::Obj(vec![
+                        ("node".into(), Value::Num(n as f64)),
+                        ("label".into(), Value::Num(logits.argmax_row(n) as f64)),
+                        ("logits".into(), Value::Arr(row)),
+                    ])
+                })
+                .collect();
+            json::to_string(&Value::Obj(vec![
+                ("ckpt".into(), Value::Str(model.info().config_fp_hex.clone())),
+                ("results".into(), Value::Arr(results)),
+            ]))
+        })
+        .collect()
+}
+
 struct PhaseStats {
     wall_secs: f64,
     total_requests: usize,
@@ -74,7 +117,6 @@ struct PhaseStats {
     p99_us: f64,
     /// Canonical response body per node set.
     canon: Vec<String>,
-    digest: u64,
     /// Everything recorded while the phase ran — client latency plus the
     /// server-side `serve_*` counters and histograms (shared registry).
     report: autoac_obs::ObsReport,
@@ -82,7 +124,8 @@ struct PhaseStats {
 
 /// Closed-loop load: `clients` threads, each issuing `requests` classify
 /// calls over one keep-alive connection. Asserts that every response for
-/// a given node set is identical across clients and over time.
+/// a given node set is identical across clients and over time, and that
+/// every set was asked at least once.
 fn run_phase(addr: &str, clients: usize, requests: usize, sets: &[Vec<usize>]) -> PhaseStats {
     let _ = autoac_obs::drain(); // clean slate for the latency histogram
     let sets = Arc::new(sets.to_vec());
@@ -134,18 +177,15 @@ fn run_phase(addr: &str, clients: usize, requests: usize, sets: &[Vec<usize>]) -
         Some(h) => (h.quantile(0.5) / 1e3, h.quantile(0.99) / 1e3),
         None => (f64::NAN, f64::NAN),
     };
-    let canon: Vec<String> = canon.into_iter().map(Option::unwrap_or_default).collect();
-    let mut all = Vec::new();
-    for body in &canon {
-        all.extend_from_slice(body.as_bytes());
-        all.push(b'\n');
-    }
+    let canon: Vec<String> = canon
+        .into_iter()
+        .map(|b| b.expect("every node set must be requested at least once (raise --requests)"))
+        .collect();
     PhaseStats {
         wall_secs,
         total_requests: clients * requests,
         p50_us: p50,
         p99_us: p99,
-        digest: fnv1a64(&all),
         canon,
         report: rep,
     }
@@ -219,6 +259,7 @@ fn main() {
         match flag.as_str() {
             "--out" => out_path = Some(PathBuf::from(value())),
             "--connect" => connect = Some(value()),
+            "--reference" => return print_reference(Path::new(&value())),
             "--validate-flight" => return validate_flight(&PathBuf::from(value())),
             "--clients" => clients = value().parse().expect("--clients N"),
             "--requests" => requests = value().parse().expect("--requests N"),
@@ -245,8 +286,18 @@ fn main() {
 
     match connect {
         Some(addr) => drive_external(&addr, clients, requests, shutdown),
-        None => ab_benchmark(&out_path, clients, requests, smoke),
+        None => benchmark(&out_path, clients, requests, smoke),
     }
+}
+
+/// `--reference CKPT`: the digest a driver run against a server on `CKPT`
+/// must print, from direct `logits()` rows.
+fn print_reference(ckpt: &Path) {
+    let state = ServeState::read(ckpt)
+        .unwrap_or_else(|e| panic!("cannot read checkpoint {}: {e}", ckpt.display()));
+    let model = InferenceModel::from_state(&state).expect("load checkpoint");
+    let bodies = reference_bodies(&model, &make_sets(model.num_nodes()));
+    println!("digest: {:016x}", digest(&bodies));
 }
 
 /// Strictly parses a flight-recorder dump: every line must be valid
@@ -300,7 +351,7 @@ fn drive_external(addr: &str, clients: usize, requests: usize, shutdown: bool) {
         stats.p50_us,
         stats.p99_us,
     );
-    println!("digest: {:016x}", stats.digest);
+    println!("digest: {:016x}", digest(&stats.canon));
 
     let m = c.get("/metrics").expect("metrics");
     assert_eq!(m.status, 200);
@@ -331,100 +382,116 @@ fn drive_external(addr: &str, clients: usize, requests: usize, shutdown: bool) {
     }
 }
 
-fn ab_benchmark(out_path: &PathBuf, clients: usize, requests: usize, smoke: bool) {
-    let epochs = if smoke { 2 } else { 20 };
-    let spec = ServeTrainSpec {
+type Shapes = BTreeMap<autoac_obs::ShapeKey, u64>;
+
+/// One scale's measurements as a JSON object; adds the kernel shapes it
+/// ran to `shapes`.
+fn bench_scale(
+    scale: &str,
+    clients: usize,
+    requests: usize,
+    dir: &Path,
+    shapes: &mut Shapes,
+) -> String {
+    let epochs = 20;
+    let spec = |seed| ServeTrainSpec {
+        scale: scale.into(),
         train: TrainConfig { epochs, patience: epochs, ..Default::default() },
+        seed,
         ..Default::default()
     };
-    println!(
-        "serve_bench: training {} / {} ({} epochs), then {clients} clients x {requests} requests",
-        spec.preset, spec.scale, epochs
-    );
-    let (state, outcome) = train_serve_state(&spec).expect("train");
-    let ckpt = format!("{:016x}", state.meta.config_fp);
-    let num_nodes = InferenceModel::from_state(&state).expect("load").num_nodes();
+    let (state, outcome) = train_serve_state(&spec(7)).expect("train");
+    let (other, _) = train_serve_state(&spec(8)).expect("train");
+    let paths = [dir.join(format!("{scale}-a.ckpt")), dir.join(format!("{scale}-b.ckpt"))];
+    state.write_atomic(&paths[0]).expect("write checkpoint");
+    other.write_atomic(&paths[1]).expect("write checkpoint");
+    let model = InferenceModel::from_state(&state).expect("load checkpoint");
+    let num_nodes = model.num_nodes();
     let sets = make_sets(num_nodes);
+    let want = reference_bodies(&model, &sets);
+    drop(model);
 
-    let mut phases = Vec::new();
-    for batching in [true, false] {
-        let cfg = ServeConfig {
-            workers: clients.max(2),
-            batch: BatchConfig { batching, ..Default::default() },
-            ..Default::default()
-        };
-        let srv = Server::start(state.clone(), &cfg).expect("start server");
-        let addr = srv.addr().to_string();
-        let stats = run_phase(&addr, clients, requests, &sets);
-        srv.stop();
-        // Server-side batch statistics share the registry with the client
-        // latency histogram, so they come out of the phase's own report.
-        let forwards = stats.report.counter("serve_batches_total");
-        let mean_batch = stats
-            .report
-            .hists
-            .get("serve_batch_size")
-            .filter(|h| h.count > 0)
-            .map_or(f64::NAN, |h| h.sum / h.count as f64);
-        println!(
-            "  batching={batching:<5} {:>7.0} req/s  p50 {:>6.0}us  p99 {:>6.0}us  \
-             {forwards} forwards, mean batch {mean_batch:.2}",
-            stats.total_requests as f64 / stats.wall_secs,
-            stats.p50_us,
-            stats.p99_us,
+    let cfg = ServeConfig { workers: clients + 1, ..Default::default() };
+    let t0 = Instant::now();
+    let srv = Server::start(state.clone(), &cfg).expect("start server");
+    let start_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let addr = srv.addr().to_string();
+
+    // Reloads B, A, B, A: each builds one table; the last leaves A serving.
+    let mut ctl = Client::connect(addr.as_str()).expect("connect");
+    let mut reload_ms = Vec::new();
+    for i in 0..4 {
+        let body = format!(
+            "{{\"checkpoint\":{}}}",
+            json::to_string(&Value::Str(paths[(i + 1) % 2].display().to_string()))
         );
-        phases.push((batching, stats, forwards, mean_batch));
+        let t0 = Instant::now();
+        let r = ctl.post("/admin/reload", &body).expect("reload");
+        reload_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(r.status, 200, "{}", r.text());
+    }
+    reload_ms.sort_by(f64::total_cmp);
+    // Everything so far — training, the reference forward, start and the
+    // reloads; run_phase drains again for its own figures.
+    let build = autoac_obs::drain();
+    let forward_ms = build
+        .hists
+        .get("serve_forward_ns")
+        .filter(|h| h.count > 0)
+        .map_or(0.0, |h| h.sum / h.count as f64 / 1e6);
+    for (key, count) in build.shapes {
+        *shapes.entry(key).or_default() += count;
     }
 
-    let (_, on, on_fwd, on_mean) = &phases[0];
-    let (_, off, off_fwd, off_mean) = &phases[1];
-    assert_eq!(
-        on.canon, off.canon,
-        "batched responses must be bitwise identical to single-request responses"
-    );
-    assert_eq!(on.digest, off.digest);
+    let stats = run_phase(&addr, clients, requests, &sets);
+    drop(ctl);
+    srv.stop();
+    assert_eq!(stats.canon, want, "served bodies must equal the direct logits() rows");
+    let rps = stats.total_requests as f64 / stats.wall_secs;
+    let lookup_us = stage_p50_us(&stats.report, "serve_compute_ns");
     println!(
-        "  digests : {:016x} == {:016x} (batched responses bitwise identical)",
-        on.digest, off.digest
+        "  {scale:<5} start {start_ms:>7.1}ms  table forward {forward_ms:>6.2}ms  \
+         reload {:>7.1}ms  {rps:>7.0} req/s  p50 {:>6.0}us  p99 {:>6.0}us  lookup p50 {lookup_us:.1}us",
+        reload_ms[reload_ms.len() / 2],
+        stats.p50_us,
+        stats.p99_us,
     );
-
-    let rps_on = on.total_requests as f64 / on.wall_secs;
-    let rps_off = off.total_requests as f64 / off.wall_secs;
-    // Server-side stage medians from the request timelines: where a
-    // request actually spends its time (queue → batch window → compute).
-    let stage = |rep: &autoac_obs::ObsReport| {
-        format!(
-            "\"queue_wait_p50_us\": {:.1},\n    \"batch_wait_p50_us\": {:.1},\n    \
-             \"compute_p50_us\": {:.1}",
-            stage_p50_us(rep, "serve_queue_wait_ns"),
-            stage_p50_us(rep, "serve_batch_wait_ns"),
-            stage_p50_us(rep, "serve_compute_ns"),
-        )
-    };
-    let json = format!(
-        "{{\n  \"preset\": \"{}\",\n  \"scale\": \"{}\",\n  \"ckpt\": \"{ckpt}\",\n  \
-         \"macro_f1\": {:.6},\n  \"micro_f1\": {:.6},\n  \
-         \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \
-         \"batching_on\": {{\n    \"throughput_rps\": {rps_on:.1},\n    \
-         \"p50_us\": {:.1},\n    \"p99_us\": {:.1},\n    {},\n    \
-         \"forwards\": {on_fwd},\n    \"mean_batch\": {on_mean:.2}\n  }},\n  \
-         \"batching_off\": {{\n    \"throughput_rps\": {rps_off:.1},\n    \
-         \"p50_us\": {:.1},\n    \"p99_us\": {:.1},\n    {},\n    \
-         \"forwards\": {off_fwd},\n    \"mean_batch\": {off_mean:.2}\n  }},\n  \
-         \"throughput_speedup\": {:.2},\n  \
-         \"digest\": \"{:016x}\",\n  \"bitwise_identical\": true\n}}\n",
-        spec.preset,
-        spec.scale,
+    format!(
+        "{{\"scale\": \"{scale}\", \"nodes\": {}, \"ckpt\": \"{:016x}\", \
+         \"macro_f1\": {:.6}, \"micro_f1\": {:.6},\n     \
+         \"start_ms\": {start_ms:.1}, \"table_forward_ms\": {forward_ms:.3}, \
+         \"reload_p50_ms\": {:.1},\n     \
+         \"throughput_rps\": {rps:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
+         \"lookup_p50_us\": {lookup_us:.2},\n     \
+         \"digest\": \"{:016x}\", \"bitwise_equal_to_logits\": true}}",
+        num_nodes,
+        state.meta.config_fp,
         outcome.macro_f1,
         outcome.micro_f1,
-        on.p50_us,
-        on.p99_us,
-        stage(&on.report),
-        off.p50_us,
-        off.p99_us,
-        stage(&off.report),
-        rps_on / rps_off,
-        on.digest,
+        reload_ms[reload_ms.len() / 2],
+        stats.p50_us,
+        stats.p99_us,
+        digest(&stats.canon),
+    )
+}
+
+fn benchmark(out_path: &Path, clients: usize, requests: usize, smoke: bool) {
+    let scales: &[&str] = if smoke { &["tiny"] } else { &["tiny", "paper"] };
+    println!(
+        "serve_bench: imdb/gcn at {scales:?}, {clients} clients x {requests} requests per scale"
+    );
+    let dir = std::env::temp_dir().join(format!("autoac_serve_bench_{}", std::process::id()));
+    fs::create_dir_all(&dir).expect("create temp dir");
+    let mut shapes = Shapes::new();
+    let rows: Vec<String> =
+        scales.iter().map(|s| bench_scale(s, clients, requests, &dir, &mut shapes)).collect();
+    let _ = fs::remove_dir_all(&dir);
+    let json = format!(
+        "{{\n  \"provenance\": {},\n  \"preset\": \"imdb\",\n  \"backbone\": \"gcn\",\n  \
+         \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \
+         \"scales\": [\n    {}\n  ]\n}}\n",
+        autoac_bench::provenance(&shapes),
+        rows.join(",\n    "),
     );
     if let Some(dir) = out_path.parent().filter(|p| !p.as_os_str().is_empty()) {
         fs::create_dir_all(dir).expect("create results dir");

@@ -210,9 +210,77 @@ pub fn header(title: &str, cols: &[&str]) {
     println!("|{}|", "-".repeat(24 + cols.iter().map(|c| c.len() + 3).sum::<usize>()));
 }
 
+/// Provenance header for a `results/BENCH_*.json` file, as one JSON
+/// object: the git revision (`"unknown"` outside a git checkout), the core
+/// count, every `AUTOAC_*` setting, the kernel policy, and how many of the
+/// recorded kernel shapes (`ObsReport::shapes` of a run with obs on)
+/// dispatch sends to each variant (`op → [scalar, blocked]`).
+pub fn provenance(shapes: &std::collections::BTreeMap<autoac_obs::ShapeKey, u64>) -> String {
+    use autoac_data::json::{self, Value};
+    use autoac_tensor::dispatch::{self, CostModel, KernelChoice, KernelOp, Variant};
+
+    let git_rev = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".into(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        );
+    let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+    let env: Vec<(String, Value)> = std::env::vars()
+        .filter(|(k, _)| k.starts_with("AUTOAC_"))
+        .map(|(k, v)| (k, Value::Str(v)))
+        .collect();
+    let policy = dispatch::choice();
+    let mut variants: std::collections::BTreeMap<&str, [u64; 2]> = Default::default();
+    for (key, &count) in shapes {
+        let op = match key.op {
+            "matmul" => KernelOp::MatMul,
+            "matmul_tn" => KernelOp::MatMulTn,
+            "matmul_nt" => KernelOp::MatMulNt,
+            "spmm" => KernelOp::Spmm,
+            _ => continue,
+        };
+        let [m, k, n, nnz] = key.dims;
+        let variant = match policy {
+            KernelChoice::Scalar => Variant::Scalar,
+            KernelChoice::Blocked => Variant::Blocked,
+            KernelChoice::Auto => {
+                let nnz = matches!(op, KernelOp::Spmm).then_some(nnz);
+                CostModel::default_for(op).pick(dispatch::classify(m, k, n, nnz))
+            }
+        };
+        variants.entry(op.name()).or_default()[usize::from(variant == Variant::Blocked)] += count;
+    }
+    let variants = variants
+        .into_iter()
+        .map(|(op, [s, b])| {
+            (op.into(), Value::Arr(vec![Value::Num(s as f64), Value::Num(b as f64)]))
+        })
+        .collect();
+    json::to_string(&Value::Obj(vec![
+        ("git_rev".into(), Value::Str(git_rev)),
+        ("nproc".into(), Value::Num(nproc as f64)),
+        ("autoac_env".into(), Value::Obj(env)),
+        ("kernel_policy".into(), Value::Str(format!("{policy:?}").to_lowercase())),
+        ("kernel_variants".into(), Value::Obj(variants)),
+    ]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn provenance_is_strict_json_with_every_field() {
+        let doc =
+            autoac_data::json::parse(&provenance(&Default::default())).expect("provenance parses");
+        for field in ["git_rev", "nproc", "autoac_env", "kernel_policy", "kernel_variants"] {
+            assert!(doc.get(field).is_some(), "provenance misses {field}");
+        }
+    }
 
     #[test]
     fn default_args() {

@@ -1,7 +1,7 @@
 //! The four whole-program analyses over a loaded [`Workspace`]:
 //!
 //! - **panic-reachability** — every fn reachable from the serving entry
-//!   points (`handle_connection`, `run_model_thread` in `autoac-serve`)
+//!   points (`handle_connection`, `run_loader`, `start` in `autoac-serve`)
 //!   must be panic-free: no `.unwrap()`/`.expect()`, no `panic!`-family
 //!   macros, no slice indexing without a visible guard on the same base
 //!   in the same fn. Silenced per-site with `analyze:allow(panic, why)`.
@@ -41,12 +41,13 @@ pub const RULE_RNG: &str = "rng-discipline";
 /// Rule id for the unsafe/SAFETY audit.
 pub const RULE_UNSAFE: &str = "unsafe-safety";
 
-/// Serving entry points the reachability pass starts from. `route()`
-/// funnels every HTTP endpoint through `handle_connection`, and the model
-/// thread consumes batches in `run_model_thread`; both live in
-/// `autoac-serve`. A test in `tests/analyze_workspace.rs` asserts this
-/// list stays in sync with the serve crate.
-pub const SERVE_ENTRY_POINTS: &[&str] = &["handle_connection", "run_model_thread"];
+/// Serving entry points the reachability pass starts from, all in
+/// `autoac-serve`: `route()` funnels every HTTP endpoint through
+/// `handle_connection`; the loader thread builds every logits table in
+/// `run_loader`; and `Server::start` (`start`) brings the server up and
+/// has the first table built. A test in `tests/analyze_fixture.rs` asserts
+/// this list stays in sync with the serve crate.
+pub const SERVE_ENTRY_POINTS: &[&str] = &["handle_connection", "run_loader", "start"];
 
 /// The checked `AUTOAC_*` registry: variable name → the strict parser
 /// every read site must go through.

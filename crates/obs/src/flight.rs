@@ -25,7 +25,7 @@
 //!
 //! Messages are truncated to [`MSG_MAX`] bytes (at a char boundary); the
 //! numeric `a`/`b` payload words carry the load-bearing values (trace
-//! ids, durations, batch sizes) losslessly.
+//! ids, durations, fingerprints) losslessly.
 //!
 //! ## Dumps
 //!
@@ -62,8 +62,6 @@ pub enum FlightKind {
     Reload,
     /// Shutdown requested or lifecycle transition completed.
     Shutdown,
-    /// Model-thread batch flush decision: `a` = batch size, `b` = window µs.
-    Flush,
     /// Process/server lifecycle marker (start, listening, model loaded).
     Lifecycle,
     /// A panic caught by the installed hook.
@@ -78,7 +76,6 @@ impl FlightKind {
             FlightKind::Warn => "warn",
             FlightKind::Reload => "reload",
             FlightKind::Shutdown => "shutdown",
-            FlightKind::Flush => "flush",
             FlightKind::Lifecycle => "lifecycle",
             FlightKind::Panic => "panic",
         }
@@ -90,9 +87,8 @@ impl FlightKind {
             FlightKind::Warn => 1,
             FlightKind::Reload => 2,
             FlightKind::Shutdown => 3,
-            FlightKind::Flush => 4,
-            FlightKind::Lifecycle => 5,
-            FlightKind::Panic => 6,
+            FlightKind::Lifecycle => 4,
+            FlightKind::Panic => 5,
         }
     }
 
@@ -102,9 +98,8 @@ impl FlightKind {
             1 => Some(FlightKind::Warn),
             2 => Some(FlightKind::Reload),
             3 => Some(FlightKind::Shutdown),
-            4 => Some(FlightKind::Flush),
-            5 => Some(FlightKind::Lifecycle),
-            6 => Some(FlightKind::Panic),
+            4 => Some(FlightKind::Lifecycle),
+            5 => Some(FlightKind::Panic),
             _ => None,
         }
     }
@@ -423,7 +418,7 @@ mod tests {
         let cap = ring.capacity();
         let total = cap as u64 + 50;
         for i in 0..total {
-            ring.record(FlightKind::Flush, i, 0, "flush");
+            ring.record(FlightKind::Request, i, 0, "request");
         }
         let records = ring.snapshot();
         assert_eq!(records.len(), cap, "exactly one ring of records survives");

@@ -7,7 +7,6 @@
 //!
 //! # Serve a checkpoint:
 //! autoac_serve --checkpoint ckpt.bin [--addr 127.0.0.1:0] [--workers 4]
-//!              [--batch-max 64] [--flush-us 200] [--no-batching]
 //!              [--port-file PATH] [--flight-dir DIR] [--run NAME]
 //!              [--trace-seed N]
 //! ```
@@ -28,9 +27,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: autoac_serve --train-out PATH [--preset P --scale S --backbone B \
          --data-seed N --seed N --epochs N]\n\
-         \x20      autoac_serve --checkpoint PATH [--addr A --workers N --batch-max N \
-         --flush-us N --no-batching --port-file PATH --flight-dir DIR --run NAME \
-         --trace-seed N]"
+         \x20      autoac_serve --checkpoint PATH [--addr A --workers N --port-file PATH \
+         --flight-dir DIR --run NAME --trace-seed N]"
     );
     exit(2);
 }
@@ -66,9 +64,6 @@ fn main() {
             }
             "--addr" => cfg.addr = value(),
             "--workers" => cfg.workers = parse_num(&value(), "--workers") as usize,
-            "--batch-max" => cfg.batch.batch_max = parse_num(&value(), "--batch-max") as usize,
-            "--flush-us" => cfg.batch.flush_us = parse_num(&value(), "--flush-us"),
-            "--no-batching" => cfg.batch.batching = false,
             "--flight-dir" => cfg.flight_dir = PathBuf::from(value()),
             "--run" => cfg.run = value(),
             "--trace-seed" => cfg.trace_seed = parse_num(&value(), "--trace-seed"),
@@ -130,14 +125,7 @@ fn serve(ckpt: &std::path::Path, cfg: &ServeConfig, port_file: Option<&std::path
             exit(1);
         }
     }
-    println!(
-        "serving {} on http://{addr} (workers={}, batching={}, batch_max={}, flush_us={})",
-        ckpt.display(),
-        cfg.workers,
-        cfg.batch.batching,
-        cfg.batch.batch_max,
-        cfg.batch.flush_us,
-    );
+    println!("serving {} on http://{addr} (workers={})", ckpt.display(), cfg.workers);
     server.join();
     // The SIGTERM/SIGINT path ends here too (signals::install routes the
     // signal into the graceful-shutdown flag), so every clean exit leaves

@@ -1,142 +1,219 @@
-//! Model residency and hot-reload.
+//! Checkpoint residency: the per-checkpoint logits table and hot-reload.
 //!
-//! The pipeline types ([`InferenceModel`] and everything under it) hold
-//! `Rc`-shared tensors and are deliberately not `Send`, so the loaded
-//! model lives on exactly one dedicated thread (see [`crate::batch`]).
-//! Worker threads never touch it directly; what they *can* read without a
-//! round-trip — the materialized attribute rows, node/class counts, and
-//! checkpoint identity — is published as an immutable [`SharedView`]
-//! behind an `Arc` swap, so `/v1/attrs` and `/healthz` are served
-//! entirely worker-side.
+//! AutoAC serving is transductive. Once a checkpoint has fixed the
+//! completion-op assignment and the weights, every node's logits are a
+//! constant: [`InferenceModel::logits`] reads a materialized attribute
+//! block and reseeds its RNG on every call. So no model stays resident.
+//! Loading a checkpoint builds an [`InferenceModel`], runs its one
+//! full-graph forward, copies the `(N, C)` logits and the completed
+//! attributes into an immutable [`SharedView`], and drops the model.
+//! `/v1/classify` and `/v1/attrs` are then row lookups in that view, on
+//! the worker thread that parsed the request.
 //!
-//! Hot-reload builds the replacement [`InferenceModel`] first and only
-//! then swaps both the model and the view, so a failed reload leaves the
-//! old checkpoint serving and an accepted reload is atomic: every request
-//! is answered wholly by one checkpoint or the other, never a blend.
+//! The model types hold `Rc`-shared tensors and are not `Send`, so every
+//! table is built on one loader thread ([`run_loader`]), and the thread
+//! that asks for it — the caller of `Server::start`, or the worker
+//! handling `POST /admin/reload` — waits for the view. One loader rather
+//! than the asking thread, because each thread allocates from its own
+//! malloc arena: building on whichever worker took a reload left a model's
+//! worth of freed pages in every such worker (DESIGN.md §10 has the
+//! measurement). The loader also keeps its recycled-buffer pool warm from
+//! one build to the next.
+//!
+//! Reloads are serialized by a mutex held across the whole
+//! graph-fingerprint check, build and swap, so at most one model is ever
+//! resident, and only while its table is being built. A failed reload
+//! leaves the published view untouched; an accepted one is a single `Arc`
+//! swap, so every response is answered wholly from one checkpoint.
 
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use autoac_ckpt::ServeState;
 use autoac_core::{InferenceModel, ServeStateInfo};
+use autoac_obs::{counter_add, flight_record, hist_record, FlightKind};
 
-/// Immutable worker-visible snapshot of the loaded model: everything the
-/// read-only endpoints need, in `Send + Sync` form.
+/// Immutable worker-visible snapshot of one loaded checkpoint: everything
+/// the endpoints need, in `Send + Sync` form.
 pub struct SharedView {
     /// Materialized completed attributes, row-major `(num_nodes, attr_dim)`.
     pub attrs: Vec<f32>,
     /// Attribute dimensionality (`in_dim`).
     pub attr_dim: usize,
+    /// The checkpoint's `InferenceModel::logits()`, row-major
+    /// `(num_nodes, num_classes)`.
+    pub logits: Vec<f32>,
+    /// Argmax class of each logits row.
+    pub labels: Vec<usize>,
     /// Total node count; valid ids are `0..num_nodes`.
     pub num_nodes: usize,
     /// Logit columns.
     pub num_classes: usize,
+    /// Accepted loads so far: 0 for the startup checkpoint, +1 per
+    /// accepted reload. Orders reloads that race each other.
+    pub generation: u64,
     /// Checkpoint identity (config fingerprint hex, backbone, F1s, ...).
     pub info: ServeStateInfo,
 }
 
 impl SharedView {
-    fn from_model(model: &InferenceModel) -> Self {
-        let attrs = model.attrs();
-        Self {
-            attrs: (0..attrs.rows()).flat_map(|r| attrs.row(r).iter().copied()).collect(),
-            attr_dim: attrs.cols(),
-            num_nodes: model.num_nodes(),
-            num_classes: model.num_classes(),
-            info: model.info().clone(),
-        }
-    }
-
     /// One attribute row, or `None` when `node` is out of range.
     pub fn attr_row(&self, node: usize) -> Option<&[f32]> {
         if node >= self.num_nodes {
             return None;
         }
-        // analyze:allow(panic, node < num_nodes was checked above and attrs holds num_nodes rows of attr_dim)
-        Some(&self.attrs[node * self.attr_dim..(node + 1) * self.attr_dim])
+        self.attrs.get(node * self.attr_dim..(node + 1) * self.attr_dim)
+    }
+
+    /// One logits row and its argmax label, or `None` when `node` is out
+    /// of range.
+    pub fn scores(&self, node: usize) -> Option<(usize, &[f32])> {
+        if node >= self.num_nodes {
+            return None;
+        }
+        let row = self.logits.get(node * self.num_classes..(node + 1) * self.num_classes)?;
+        Some((*self.labels.get(node)?, row))
     }
 }
 
-/// The slot workers read the current [`SharedView`] from. Cloning the
-/// inner `Arc` out is the whole critical section, so the lock is never
-/// held across any real work.
-pub type ViewSlot = Arc<Mutex<Arc<SharedView>>>;
-
-/// Reads the current view out of the slot.
-pub fn current_view(slot: &ViewSlot) -> Arc<SharedView> {
-    // A poisoned slot only means some thread panicked *after* a completed
-    // swap (the stored Arc is always whole), so serving from it is sound.
-    Arc::clone(&slot.lock().unwrap_or_else(|p| p.into_inner()))
+/// Loads `state`, runs its single forward, and keeps only the tables. The
+/// model is dropped before this returns.
+fn build_table(state: &ServeState) -> Result<SharedView, String> {
+    let model = InferenceModel::from_state(state).map_err(|e| e.to_string())?;
+    let t0 = std::time::Instant::now();
+    let logits = model.logits();
+    hist_record("serve_forward_ns", t0.elapsed().as_nanos() as f64);
+    let attrs = model.attrs();
+    Ok(SharedView {
+        attrs: attrs.data().to_vec(),
+        attr_dim: attrs.cols(),
+        labels: (0..logits.rows()).map(|r| logits.argmax_row(r)).collect(),
+        logits: logits.data().to_vec(),
+        num_nodes: model.num_nodes(),
+        num_classes: model.num_classes(),
+        generation: 0,
+        info: model.info().clone(),
+    })
 }
 
-/// The loaded model plus the published view, owned by the model thread.
+/// A table to build: the checkpoint, and where its view (or why it failed)
+/// goes.
+type LoadJob = (ServeState, Sender<Result<SharedView, String>>);
+
+/// Body of the loader thread: builds every table the server publishes,
+/// one at a time, until its [`ModelHost`] is dropped.
+fn run_loader(jobs: Receiver<LoadJob>) {
+    for (state, reply) in jobs {
+        // A send failure only means the requester gave up; nothing to do.
+        let _ = reply.send(build_table(&state));
+    }
+}
+
+/// The published view and the loader thread that builds views.
 pub struct ModelHost {
-    model: InferenceModel,
-    slot: ViewSlot,
+    view: Mutex<Arc<SharedView>>,
+    /// Queue to the loader thread. Its mutex is held across a whole reload,
+    /// which serializes reloads.
+    loader: Mutex<Option<Sender<LoadJob>>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// Has the loader thread behind `loader` build `state`'s view, and waits.
+fn load(loader: Option<&Sender<LoadJob>>, state: ServeState) -> Result<SharedView, String> {
+    let (reply, view) = mpsc::channel();
+    loader
+        .and_then(|tx| tx.send((state, reply)).ok())
+        .ok_or_else(|| "the loader thread has stopped".to_string())?;
+    view.recv().map_err(|_| "the loader thread died".to_string())?
 }
 
 impl ModelHost {
-    /// Loads the initial checkpoint and publishes its view into a fresh
-    /// slot.
-    pub fn new(state: &ServeState) -> Result<Self, String> {
-        let model = InferenceModel::from_state(state).map_err(|e| e.to_string())?;
-        autoac_obs::flight_record(
-            autoac_obs::FlightKind::Lifecycle,
-            model.info().graph_fp,
-            0,
-            &format!("model loaded: {}", model.info().config_fp_hex),
-        );
-        let slot = Arc::new(Mutex::new(Arc::new(SharedView::from_model(&model))));
-        Ok(Self { model, slot })
-    }
-
-    /// The slot workers should read views from.
-    pub fn slot(&self) -> ViewSlot {
-        Arc::clone(&self.slot)
-    }
-
-    /// The resident model (model-thread only).
-    pub fn model(&self) -> &InferenceModel {
-        &self.model
-    }
-
-    /// Replaces the resident model with `state`, keeping the old one on
-    /// any failure. The new checkpoint must describe the *same graph*
-    /// (identical structural fingerprint) so node ids keep their meaning
-    /// across the swap; callers surface a violation as HTTP 409.
-    pub fn reload(&mut self, state: &ServeState) -> Result<ServeStateInfo, String> {
-        use autoac_obs::{flight_record, FlightKind};
-        let next = match InferenceModel::from_state(state) {
-            Ok(m) => m,
+    /// Starts the loader thread and publishes the initial checkpoint's view.
+    pub fn new(state: ServeState) -> Result<Self, String> {
+        let (tx, rx) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("serve-loader".into())
+            .spawn(move || run_loader(rx))
+            .map_err(|e| format!("cannot start the loader thread: {e}"))?;
+        let view = match load(Some(&tx), state) {
+            Ok(view) => view,
             Err(e) => {
-                flight_record(FlightKind::Reload, 0, 0, &format!("rejected: {e}"));
-                return Err(e.to_string());
+                drop(tx);
+                let _ = thread.join();
+                return Err(e);
             }
         };
-        if next.info().graph_fp != self.model.info().graph_fp {
+        flight_record(
+            FlightKind::Lifecycle,
+            view.info.graph_fp,
+            0,
+            &format!("model loaded: {}", view.info.config_fp_hex),
+        );
+        Ok(Self {
+            view: Mutex::new(Arc::new(view)),
+            loader: Mutex::new(Some(tx)),
+            thread: Some(thread),
+        })
+    }
+
+    /// The current view. Cloning the `Arc` out is the whole critical
+    /// section, so the lock is never held across real work.
+    pub fn view(&self) -> Arc<SharedView> {
+        // A poisoned lock only means a thread panicked *after* a completed
+        // swap (the stored Arc is always whole), so serving from it is sound.
+        Arc::clone(&self.view.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// Builds `state`'s view on the loader thread and publishes it,
+    /// keeping the old view on any failure. The new checkpoint must
+    /// describe the *same graph* (identical structural fingerprint) so
+    /// node ids keep their meaning across the swap; callers surface a
+    /// violation as HTTP 409. Returns the view it published.
+    pub fn reload(&self, state: ServeState) -> Result<Arc<SharedView>, String> {
+        let loader = self.loader.lock().unwrap_or_else(|p| p.into_inner());
+        let current = self.view();
+        // `from_state` refuses a checkpoint whose regenerated graph differs
+        // from its own `meta.graph_fp`, so comparing the recorded value
+        // here is exact and saves building a model that would be refused.
+        if state.meta.graph_fp != current.info.graph_fp {
             flight_record(
                 FlightKind::Reload,
-                self.model.info().graph_fp,
-                next.info().graph_fp,
+                current.info.graph_fp,
+                state.meta.graph_fp,
                 "rejected: graph fingerprint mismatch",
             );
             return Err(format!(
                 "graph fingerprint mismatch: serving {:016x}, checkpoint {:016x} — \
                  node ids would silently change meaning",
-                self.model.info().graph_fp,
-                next.info().graph_fp
+                current.info.graph_fp, state.meta.graph_fp
             ));
         }
-        let view = Arc::new(SharedView::from_model(&next));
-        let info = next.info().clone();
+        let mut next = load(loader.as_ref(), state).map_err(|e| {
+            flight_record(FlightKind::Reload, 0, 0, &format!("rejected: {e}"));
+            e
+        })?;
+        next.generation = current.generation + 1;
         flight_record(
             FlightKind::Reload,
-            info.graph_fp,
-            0,
-            &format!("accepted: {}", info.config_fp_hex),
+            next.info.graph_fp,
+            next.generation,
+            &format!("accepted: {}", next.info.config_fp_hex),
         );
-        self.model = next;
-        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = view;
-        Ok(info)
+        counter_add("serve_reloads_total", 1);
+        let next = Arc::new(next);
+        *self.view.lock().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&next);
+        Ok(next)
+    }
+}
+
+impl Drop for ModelHost {
+    fn drop(&mut self) {
+        // Closing the queue ends the loader's loop.
+        *self.loader.get_mut().unwrap_or_else(|p| p.into_inner()) = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -156,30 +233,38 @@ mod tests {
     }
 
     #[test]
-    fn view_exposes_attr_rows_and_bounds() {
-        let host = ModelHost::new(&quick_state(3, 1)).expect("load");
-        let view = current_view(&host.slot());
+    fn view_tables_equal_the_model_and_bound_node_ids() {
+        let state = quick_state(3, 1);
+        let host = ModelHost::new(state.clone()).expect("load");
+        let view = host.view();
+        let model = InferenceModel::from_state(&state).expect("load");
+        let logits = model.logits();
         assert_eq!(view.num_nodes * view.attr_dim, view.attrs.len());
-        assert!(view.attr_row(0).is_some());
+        assert_eq!(view.attrs, model.attrs().data());
+        assert_eq!(view.logits, logits.data(), "table is the model's logits, bit for bit");
+        for n in [0, view.num_nodes / 2, view.num_nodes - 1] {
+            assert_eq!(view.scores(n), Some((logits.argmax_row(n), logits.row(n))));
+            assert_eq!(view.attr_row(n), Some(model.attrs().row(n)));
+        }
         assert!(view.attr_row(view.num_nodes).is_none());
-        assert_eq!(view.attr_row(1).map(<[f32]>::len), Some(view.attr_dim));
+        assert!(view.scores(view.num_nodes).is_none());
     }
 
     #[test]
     fn reload_swaps_view_atomically_and_rejects_foreign_graphs() {
-        let mut host = ModelHost::new(&quick_state(3, 1)).expect("load");
-        let slot = host.slot();
-        let before = current_view(&slot).info.config_fp_hex.clone();
+        let host = ModelHost::new(quick_state(3, 1)).expect("load");
+        let before = host.view().info.config_fp_hex.clone();
 
         // Same graph, different seed: accepted, view swapped.
-        let info = host.reload(&quick_state(4, 1)).expect("reload");
-        assert_ne!(info.config_fp_hex, before);
-        assert_eq!(current_view(&slot).info.config_fp_hex, info.config_fp_hex);
+        let next = host.reload(quick_state(4, 1)).expect("reload");
+        assert_ne!(next.info.config_fp_hex, before);
+        assert!(Arc::ptr_eq(&next, &host.view()), "the returned view is the published one");
+        assert_eq!(next.generation, 1);
 
         // Different data seed regenerates a different graph: rejected,
         // old view still published.
-        let err = host.reload(&quick_state(5, 2)).expect_err("must reject");
+        let Err(err) = host.reload(quick_state(5, 2)) else { panic!("must reject") };
         assert!(err.contains("graph fingerprint mismatch"), "{err}");
-        assert_eq!(current_view(&slot).info.config_fp_hex, info.config_fp_hex);
+        assert!(Arc::ptr_eq(&next, &host.view()), "a rejected reload publishes nothing");
     }
 }

@@ -2,32 +2,38 @@
 //!
 //! Online attribute-completion and inference serving for trained AutoAC
 //! models: a zero-dependency HTTP/1.1 server over `std::net` with a
-//! fixed worker pool, an adaptive micro-batching model thread, and
-//! atomic checkpoint hot-reload.
+//! fixed worker pool, a per-checkpoint logits table, and atomic
+//! checkpoint hot-reload.
+//!
+//! AutoAC is transductive, so a checkpoint's node logits are a constant.
+//! Loading a checkpoint runs its one full-graph forward and keeps the
+//! `(N, C)` logits table; the model itself is dropped. Every classify
+//! request is then a row lookup on the worker that parsed it, and a
+//! reload costs one forward on the worker that handles it (see [`host`]).
 //!
 //! ## Endpoints
 //!
 //! | route              | method | purpose                                        |
 //! |--------------------|--------|------------------------------------------------|
-//! | `/v1/classify`     | POST   | node ids → logits + argmax labels (batched)    |
+//! | `/v1/classify`     | POST   | node ids → logits + argmax labels (table rows) |
 //! | `/v1/attrs`        | POST   | node ids → completed attribute rows            |
 //! | `/healthz`         | GET    | liveness + loaded-checkpoint identity          |
 //! | `/metrics`         | GET    | Prometheus exposition text (obs registry, SLO gauges, exemplars) |
 //! | `/slo`             | GET    | burn-rate SLO status (fast + slow windows)     |
 //! | `/debug/traces`    | GET    | slowest request timelines as JSON              |
-//! | `/admin/reload`    | POST   | hot-swap to a new checkpoint (same graph only) |
+//! | `/admin/reload`    | POST   | build a new checkpoint's table and swap it in (same graph only) |
 //! | `/admin/shutdown`  | POST   | graceful shutdown                              |
 //! | `/admin/flight`    | POST   | dump the flight-recorder ring to disk          |
 //!
 //! ## Determinism contract
 //!
-//! Every classify response is **bitwise-identical** whether the request
-//! was answered alone or coalesced into a batch, and across restarts on
-//! the same checkpoint: the model forward reads a materialized constant
-//! attribute block and reseeds its RNG from the checkpoint's
-//! `infer_seed` on every call, so logits are a pure function of
-//! (checkpoint, node id). `serve_bench` and the integration tests diff
-//! response digests batched-vs-unbatched to hold the line.
+//! Every classify response row is **bitwise-identical** to the matching
+//! row of `InferenceModel::logits()` for the checkpoint named in its
+//! `ckpt` field: the table *is* that matrix, copied once. The forward
+//! reads a materialized constant attribute block and reseeds its RNG from
+//! the checkpoint's `infer_seed`, so the table is the same across restarts
+//! too. The integration tests and `scripts/verify.sh` compare served
+//! bodies against bodies built from direct `logits()` rows.
 //!
 //! ```no_run
 //! use autoac_core::{train_serve_state, ServeTrainSpec};
@@ -43,14 +49,11 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod host;
 pub mod http;
 pub mod server;
 pub mod trace;
-
-pub use batch::{BatchConfig, ClassifyReply, Job, JobTiming, NodeScore};
 
 /// Serializes unit tests that touch process-global trace state (the
 /// `set_trace_force` switch shared by every test thread).
@@ -60,7 +63,7 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 pub use client::{Client, Response};
-pub use host::{current_view, ModelHost, SharedView, ViewSlot};
+pub use host::{ModelHost, SharedView};
 pub use server::{signals, ServeConfig, Server, ServerHandle, MAX_NODES_PER_REQUEST};
 pub use trace::{
     set_trace_force, tracing_enabled, Timeline, TraceIds, TraceStore, TRACE_STORE_CAPACITY,

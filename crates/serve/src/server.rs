@@ -3,23 +3,27 @@
 //! ## Thread layout
 //!
 //! ```text
-//!  acceptor ──streams──▶ workers (N) ──Job──▶ model thread (1)
-//!     │                     │  ▲                  │
-//!     │ nonblocking poll    │  └── per-job reply ─┘
-//!     ▼                     ▼
-//!  shutdown flag      SharedView slot (Arc swap, read-only endpoints)
+//!  acceptor ──streams──▶ workers (N) ──read──▶ SharedView (Arc swap)
+//!     │                     │                      ▲ swap
+//!     │ nonblocking poll    └─ /admin/reload ──▶ loader (1): build table
+//!     ▼
+//!  shutdown flag
 //! ```
+//!
+//! Every endpoint is answered on the worker that parsed the request:
+//! classify and attrs are row lookups in the published [`SharedView`].
+//! A reload has the loader thread build the next view, waits for it, and
+//! swaps it in (see [`crate::host`]).
 //!
 //! ## Graceful shutdown
 //!
 //! `POST /admin/shutdown`, a SIGINT/SIGTERM (when [`signals::install`]ed),
 //! or [`ServerHandle::request_shutdown`] sets one atomic flag. The
 //! acceptor stops accepting and exits, which disconnects the stream
-//! channel; each worker finishes the request it is on (including waiting
-//! for its batch reply), notices the flag at the next request boundary,
-//! and exits; only after every worker has dropped its job sender does the
-//! job channel disconnect and the model thread return. The ordering
-//! guarantees zero dropped in-flight requests.
+//! channel; each worker finishes the request it is on, notices the flag
+//! at the next request boundary, and exits. The last worker out drops the
+//! [`ModelHost`], which closes the loader's queue and joins it. No
+//! in-flight request is dropped.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -35,8 +39,7 @@ use autoac_obs::{
     counter_add, flight_record, hist_record_ex, now_ns, warn, FlightKind, SloConfig, SloEngine,
 };
 
-use crate::batch::{BatchConfig, Job, JobTiming};
-use crate::host::{current_view, SharedView, ViewSlot};
+use crate::host::{ModelHost, SharedView};
 use crate::http::{read_request, write_response, write_response_with, ReadOutcome, Request};
 use crate::trace::{tracing_enabled, Timeline, TraceIds, TraceStore};
 
@@ -56,8 +59,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker (connection-handling) threads.
     pub workers: usize,
-    /// Micro-batching knobs for the model thread.
-    pub batch: BatchConfig,
     /// Seed for the trace-id mint: ids are a pure function of this seed
     /// and the accept order, independent of wall clock and OS entropy.
     pub trace_seed: u64,
@@ -74,7 +75,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             workers: 4,
-            batch: BatchConfig::default(),
             trace_seed: 0xa07a_c0de_0000_0001,
             slo: SloConfig::default(),
             flight_dir: std::path::PathBuf::from("results"),
@@ -124,8 +124,7 @@ pub mod signals {
 /// Everything a worker needs to serve requests.
 #[derive(Clone)]
 struct Ctx {
-    slot: ViewSlot,
-    jobs: Sender<Job>,
+    host: Arc<ModelHost>,
     shutdown: Arc<AtomicBool>,
     ids: Arc<TraceIds>,
     traces: Arc<TraceStore>,
@@ -147,19 +146,15 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    model: Option<JoinHandle<()>>,
-    /// Held only until `join`: dropping the last job sender is what lets
-    /// the model thread exit.
-    jobs: Option<Sender<Job>>,
 }
 
 /// Alias kept close to the docs' vocabulary.
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds, loads the checkpoint on the model thread, and returns once
-    /// the server is ready to answer requests (or the checkpoint failed
-    /// to load).
+    /// Binds, has the loader thread build the checkpoint's logits table,
+    /// and returns once the server is ready to answer requests (or the
+    /// checkpoint failed to load).
     pub fn start(state: ServeState, cfg: &ServeConfig) -> io::Result<Server> {
         // `/metrics` is part of the serving contract, so the obs registry
         // must record regardless of AUTOAC_OBS in the environment.
@@ -174,29 +169,13 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let batch = cfg.batch;
-        let model = std::thread::Builder::new()
-            .name("serve-model".into())
-            .spawn(move || crate::batch::run_model_thread(state, batch, jobs_rx, ready_tx))?;
-        let slot = match ready_rx.recv() {
-            Ok(Ok(slot)) => slot,
-            Ok(Err(e)) => {
-                let _ = model.join();
-                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-            }
-            Err(_) => {
-                let _ = model.join();
-                return Err(io::Error::new(io::ErrorKind::Other, "model thread died during load"));
-            }
-        };
+        let host = ModelHost::new(state)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
 
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
         let ctx = Ctx {
-            slot,
-            jobs: jobs_tx.clone(),
+            host: Arc::new(host),
             shutdown: Arc::clone(&shutdown),
             ids: Arc::new(TraceIds::new(cfg.trace_seed)),
             traces: Arc::new(TraceStore::new()),
@@ -232,8 +211,6 @@ impl Server {
             shutdown,
             acceptor: Some(acceptor),
             workers,
-            model: Some(model),
-            jobs: Some(jobs_tx),
         })
     }
 
@@ -262,14 +239,9 @@ impl Server {
     fn join_inner(&mut self) {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Last sender gone → model thread's channel disconnects → exits.
-        self.jobs = None;
-        if let Some(h) = self.model.take() {
-            let _ = h.join();
+            for h in self.workers.drain(..) {
+                let _ = h.join();
+            }
             flight_record(FlightKind::Shutdown, 0, 0, "server stopped (all threads joined)");
         }
     }
@@ -376,11 +348,11 @@ fn route(stream: &mut TcpStream, req: &Request, ctx: &Ctx) -> io::Result<()> {
     let keep = req.keep_alive;
     let t0 = Instant::now();
     let mut nodes = 0usize;
-    let mut timing = JobTiming::default();
+    let mut compute_ns: Option<u64> = None;
     let outcome: Result<(&'static str, Vec<u8>), (u16, String)> =
         match (req.method.as_str(), req.path.as_str()) {
             ("POST", "/v1/classify") => classify(req, ctx).map(|(doc, t, n)| {
-                timing = t;
+                compute_ns = Some(t);
                 nodes = n;
                 (JSON_CT, json::to_string(&doc).into_bytes())
             }),
@@ -441,10 +413,8 @@ fn route(stream: &mut TcpStream, req: &Request, ctx: &Ctx) -> io::Result<()> {
         _ => "serve_other_ns",
     };
     hist_record_ex(hist, t0.elapsed().as_nanos() as f64, req.trace_id);
-    if timing.batch_size > 0 {
-        hist_record_ex("serve_queue_wait_ns", timing.queue_ns as f64, req.trace_id);
-        hist_record_ex("serve_batch_wait_ns", timing.batch_wait_ns as f64, req.trace_id);
-        hist_record_ex("serve_compute_ns", timing.compute_ns as f64, req.trace_id);
+    if let Some(ns) = compute_ns {
+        hist_record_ex("serve_compute_ns", ns as f64, req.trace_id);
     }
     let mut extra: Vec<(&str, String)> = Vec::new();
     if req.trace_id != 0 {
@@ -469,11 +439,8 @@ fn route(stream: &mut TcpStream, req: &Request, ctx: &Ctx) -> io::Result<()> {
             path: req.path.clone(),
             status,
             nodes,
-            batch_size: timing.batch_size,
             parse_ns: req.parse_ns,
-            queue_ns: timing.queue_ns,
-            batch_wait_ns: timing.batch_wait_ns,
-            compute_ns: timing.compute_ns,
+            compute_ns: compute_ns.unwrap_or(0),
             write_ns,
             total_ns,
         });
@@ -563,40 +530,33 @@ fn parse_nodes(body: &[u8], view: &SharedView) -> Result<Vec<usize>, (u16, Strin
         .collect()
 }
 
-fn classify(req: &Request, ctx: &Ctx) -> Result<(Value, JobTiming, usize), (u16, String)> {
-    let view = current_view(&ctx.slot);
+/// `/v1/classify`: the requested rows of the published logits table.
+/// Returns the body, the lookup time in ns, and the node count.
+fn classify(req: &Request, ctx: &Ctx) -> Result<(Value, u64, usize), (u16, String)> {
+    let view = ctx.host.view();
     let nodes = parse_nodes(&req.body, &view)?;
-    let node_count = nodes.len();
-    let (reply_tx, reply_rx) = mpsc::channel();
-    ctx.jobs
-        .send(Job::Classify {
-            nodes,
-            reply: reply_tx,
-            trace_id: req.trace_id,
-            enqueued_ns: now_ns(),
-        })
-        .map_err(|_| (503, "model thread unavailable".to_string()))?;
-    let reply = reply_rx.recv().map_err(|_| (503, "model thread unavailable".to_string()))?;
-    let results = reply
-        .rows
+    let t0 = Instant::now();
+    let results = nodes
         .iter()
-        .map(|r| {
+        .map(|&n| {
+            // Bounds were checked against this same view.
+            let (label, row) = view.scores(n).unwrap_or((0, &[]));
             Value::Obj(vec![
-                ("node".into(), Value::Num(r.node as f64)),
-                ("label".into(), Value::Num(r.label as f64)),
-                ("logits".into(), Value::Arr(r.logits.iter().map(|&v| Value::Num(v as f64)).collect())),
+                ("node".into(), Value::Num(n as f64)),
+                ("label".into(), Value::Num(label as f64)),
+                ("logits".into(), Value::Arr(row.iter().map(|&v| Value::Num(v as f64)).collect())),
             ])
         })
         .collect();
     let doc = Value::Obj(vec![
-        ("ckpt".into(), Value::Str(reply.ckpt)),
+        ("ckpt".into(), Value::Str(view.info.config_fp_hex.clone())),
         ("results".into(), Value::Arr(results)),
     ]);
-    Ok((doc, reply.timing, node_count))
+    Ok((doc, t0.elapsed().as_nanos() as u64, nodes.len()))
 }
 
 fn attrs(req: &Request, ctx: &Ctx) -> Result<(Value, usize), (u16, String)> {
-    let view = current_view(&ctx.slot);
+    let view = ctx.host.view();
     let nodes = parse_nodes(&req.body, &view)?;
     let node_count = nodes.len();
     let results = nodes
@@ -619,7 +579,7 @@ fn attrs(req: &Request, ctx: &Ctx) -> Result<(Value, usize), (u16, String)> {
 }
 
 fn healthz(ctx: &Ctx) -> Value {
-    let view = current_view(&ctx.slot);
+    let view = ctx.host.view();
     Value::Obj(vec![
         ("status".into(), Value::Str("ok".into())),
         ("ckpt".into(), Value::Str(view.info.config_fp_hex.clone())),
@@ -628,6 +588,7 @@ fn healthz(ctx: &Ctx) -> Value {
         ("nodes".into(), Value::Num(view.num_nodes as f64)),
         ("classes".into(), Value::Num(view.num_classes as f64)),
         ("attr_dim".into(), Value::Num(view.attr_dim as f64)),
+        ("generation".into(), Value::Num(view.generation as f64)),
         ("epochs".into(), Value::Num(view.info.epochs_done as f64)),
         ("macro_f1".into(), Value::Num(view.info.macro_f1)),
         ("micro_f1".into(), Value::Num(view.info.micro_f1)),
@@ -644,16 +605,10 @@ fn reload(req: &Request, ctx: &Ctx) -> Handled {
         .ok_or_else(|| (400, "body must carry a \"checkpoint\" path".to_string()))?;
     let state = ServeState::read(std::path::Path::new(path))
         .map_err(|e| (400, format!("cannot load checkpoint: {e}")))?;
-    let (reply_tx, reply_rx) = mpsc::channel();
-    ctx.jobs
-        .send(Job::Reload { state: Box::new(state), reply: reply_tx })
-        .map_err(|_| (503, "model thread unavailable".to_string()))?;
-    match reply_rx.recv() {
-        Ok(Ok(info)) => Ok(Value::Obj(vec![
-            ("ok".into(), Value::Bool(true)),
-            ("ckpt".into(), Value::Str(info.config_fp_hex)),
-        ])),
-        Ok(Err(msg)) => Err((409, msg)),
-        Err(_) => Err((503, "model thread unavailable".to_string())),
-    }
+    let view = ctx.host.reload(state).map_err(|msg| (409, msg))?;
+    Ok(Value::Obj(vec![
+        ("ok".into(), Value::Bool(true)),
+        ("ckpt".into(), Value::Str(view.info.config_fp_hex.clone())),
+        ("generation".into(), Value::Num(view.generation as f64)),
+    ]))
 }

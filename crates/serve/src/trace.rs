@@ -3,9 +3,8 @@
 //!
 //! Every accepted connection byte-stream mints a 64-bit trace id the
 //! moment a request's first byte arrives (see [`TraceIds::mint`]). The id
-//! rides the request through the worker, the micro-batch queue, and the
-//! model thread; the completed [`Timeline`] — accept → parse →
-//! queue-wait → batch-wait → compute → write — is echoed back to the
+//! rides the request through the worker that answers it; the completed
+//! [`Timeline`] — accept → parse → compute → write — is echoed back to the
 //! client in the `x-autoac-trace` response header, attached as an
 //! exemplar to the serving latency histograms, and retained in a
 //! fixed-capacity [`TraceStore`] ordered ring for `/debug/traces`.
@@ -120,16 +119,9 @@ pub struct Timeline {
     pub status: u16,
     /// Node count for classify/attrs requests, 0 otherwise.
     pub nodes: usize,
-    /// Size of the micro-batch this request was answered in (0 when the
-    /// request never reached the model thread).
-    pub batch_size: usize,
     /// First byte → request fully parsed.
     pub parse_ns: u64,
-    /// Enqueue → dequeued by the model thread.
-    pub queue_ns: u64,
-    /// Dequeued → batch forward started (coalescing wait).
-    pub batch_wait_ns: u64,
-    /// Model forward share for this request's batch.
+    /// Classify: the logits-table row lookup. 0 for other routes.
     pub compute_ns: u64,
     /// Response serialization + socket write.
     pub write_ns: u64,
@@ -143,8 +135,7 @@ impl Timeline {
         format!(
             concat!(
                 "{{\"trace_id\":\"{:016x}\",\"t0_ns\":{},\"method\":{},\"path\":{},",
-                "\"status\":{},\"nodes\":{},\"batch_size\":{},\"parse_ns\":{},",
-                "\"queue_ns\":{},\"batch_wait_ns\":{},\"compute_ns\":{},",
+                "\"status\":{},\"nodes\":{},\"parse_ns\":{},\"compute_ns\":{},",
                 "\"write_ns\":{},\"total_ns\":{}}}"
             ),
             self.trace_id,
@@ -153,10 +144,7 @@ impl Timeline {
             autoac_data::json::to_string(&autoac_data::json::Value::Str(self.path.clone())),
             self.status,
             self.nodes,
-            self.batch_size,
             self.parse_ns,
-            self.queue_ns,
-            self.batch_wait_ns,
             self.compute_ns,
             self.write_ns,
             self.total_ns,
@@ -255,17 +243,14 @@ mod tests {
             path: "/v1/\"classify\"".into(),
             status: 200,
             nodes: 3,
-            batch_size: 2,
             parse_ns: 1,
-            queue_ns: 2,
-            batch_wait_ns: 3,
             compute_ns: 4,
             write_ns: 5,
-            total_ns: 15,
+            total_ns: 10,
         };
         let v = autoac_data::json::parse(&t.to_json()).expect("valid JSON");
         assert_eq!(v.get("trace_id").and_then(|x| x.as_str()), Some("00000000deadbeef"));
-        assert_eq!(v.get("total_ns").and_then(|x| x.as_f64()), Some(15.0));
+        assert_eq!(v.get("total_ns").and_then(|x| x.as_f64()), Some(10.0));
         assert_eq!(v.get("path").and_then(|x| x.as_str()), Some("/v1/\"classify\""));
     }
 

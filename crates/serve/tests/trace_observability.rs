@@ -7,7 +7,7 @@ use std::sync::{Mutex, MutexGuard};
 use autoac_ckpt::ServeState;
 use autoac_core::{train_serve_state, ServeTrainSpec, TrainConfig};
 use autoac_data::json::{self, Value};
-use autoac_serve::{set_trace_force, BatchConfig, Client, ServeConfig, Server};
+use autoac_serve::{set_trace_force, Client, ServeConfig, Server};
 
 /// `set_trace_force` is process-global; tests in this binary run on
 /// parallel threads, so every test serializes on this.
@@ -33,7 +33,6 @@ fn nodes_body(nodes: &[usize]) -> String {
 fn server_in(dir: &std::path::Path, run: &str, state: ServeState) -> Server {
     let cfg = ServeConfig {
         workers: 2,
-        batch: BatchConfig::default(),
         flight_dir: dir.to_path_buf(),
         run: run.into(),
         ..Default::default()
@@ -107,14 +106,16 @@ fn debug_traces_slo_and_flight_dump_work_end_to_end() {
         .iter()
         .find(|t| t.get("path").and_then(Value::as_str) == Some("/v1/classify"))
         .expect("a classify timeline");
-    for field in
-        ["trace_id", "t0_ns", "parse_ns", "queue_ns", "batch_wait_ns", "compute_ns", "write_ns"]
-    {
+    for field in ["trace_id", "t0_ns", "parse_ns", "compute_ns", "write_ns", "total_ns"] {
         assert!(classify.get(field).is_some(), "timeline misses {field}");
+    }
+    // Classify is a table lookup on the worker: no queue, no batch.
+    for gone in ["queue_ns", "batch_wait_ns", "batch_size"] {
+        assert!(classify.get(gone).is_none(), "timeline still carries {gone}");
     }
     assert!(
         classify.get("compute_ns").and_then(Value::as_f64).expect("compute") > 0.0,
-        "classify passed through the model thread"
+        "classify timed its table lookup"
     );
     let listed: Vec<&str> =
         traces.iter().filter_map(|t| t.get("trace_id").and_then(Value::as_str)).collect();
@@ -157,7 +158,7 @@ fn debug_traces_slo_and_flight_dump_work_end_to_end() {
         }
     }
     assert!(kinds.iter().any(|k| k == "request"), "request summaries recorded: {kinds:?}");
-    assert!(kinds.iter().any(|k| k == "flush"), "batch flush decisions recorded: {kinds:?}");
+    assert!(kinds.iter().any(|k| k == "lifecycle"), "model load recorded: {kinds:?}");
 
     srv.stop();
     set_trace_force(None);

@@ -191,8 +191,11 @@ mod tests {
         let x = Tensor::param(Matrix::ones(2, 2));
         let w = Tensor::param(Matrix::ones(2, 2));
         let b = Tensor::param(Matrix::ones(1, 2));
-        let before = x.id().max(w.id()).max(b.id());
         let out = x.linear(&w, Some(&b), Act::Relu);
-        assert_eq!(out.id(), before + 1, "exactly one node allocated");
+        // Counted on the op's own subgraph (node ids are process-global, so
+        // a parallel test could allocate between any two of ours).
+        let parents: Vec<u64> = out.parents().iter().map(Tensor::id).collect();
+        assert_eq!(parents, [x.id(), w.id(), b.id()], "output hangs directly off its inputs");
+        assert!(out.parents().iter().all(Tensor::is_leaf), "no intermediate node retained");
     }
 }

@@ -95,6 +95,21 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static BYTES_RECYCLED: AtomicU64 = AtomicU64::new(0);
 
+/// Counts one pool event in `global`. Test builds also count it in this
+/// thread's [`tests::thread_stats`], which tests read: the global counters
+/// move with every test allocating in parallel.
+fn count(global: &AtomicU64, n: u64, field: fn(&mut PoolStats) -> &mut u64) {
+    global.fetch_add(n, Ordering::Relaxed);
+    #[cfg(test)]
+    tests::THREAD_STATS.with(|c| {
+        let mut s = c.get();
+        *field(&mut s) += n;
+        c.set(s);
+    });
+    #[cfg(not(test))]
+    let _ = field;
+}
+
 /// Snapshot of the pool's global counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
@@ -252,7 +267,7 @@ fn push_free(buf: Vec<f32>) -> bool {
         }
     });
     if kept {
-        BYTES_RECYCLED.fetch_add(bytes, Ordering::Relaxed);
+        count(&BYTES_RECYCLED, bytes, |s| &mut s.bytes_recycled);
     }
     kept
 }
@@ -539,7 +554,7 @@ impl PoolVec {
         }
         let bucket = bucket_for(len);
         if let Some(mut v) = pop_free(bucket) {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(&HITS, 1, |s| &mut s.hits);
             if chk::enabled() {
                 san_on_reuse(&v); // canaries are at the full-bucket ends
             }
@@ -548,7 +563,7 @@ impl PoolVec {
             unsafe { v.set_len(len) };
             return Self { vec: v, recyclable: true };
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        count(&MISSES, 1, |s| &mut s.misses);
         let mut v = vec![0.0f32; bucket]; // initialize the whole bucket once
         v.truncate(len);
         let recyclable = bucket_index(bucket).is_some();
@@ -589,7 +604,7 @@ impl PoolVec {
         }
         let bucket = bucket_for(len);
         if let Some(mut v) = pop_free(bucket) {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(&HITS, 1, |s| &mut s.hits);
             if chk::enabled() {
                 san_on_reuse(&v);
             }
@@ -598,7 +613,7 @@ impl PoolVec {
             unsafe { v.set_len(len) };
             return (Self { vec: v, recyclable: true }, false);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        count(&MISSES, 1, |s| &mut s.misses);
         let mut v = vec![0.0f32; bucket];
         v.truncate(len);
         let recyclable = bucket_index(bucket).is_some();
@@ -722,6 +737,17 @@ impl std::fmt::Debug for PoolVec {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// [`HITS`]/[`MISSES`]/[`BYTES_RECYCLED`], for this thread's events.
+        pub(super) static THREAD_STATS: Cell<PoolStats> =
+            const { Cell::new(PoolStats { hits: 0, misses: 0, bytes_recycled: 0 }) };
+    }
+
+    /// This thread's pool events since it started.
+    fn thread_stats() -> PoolStats {
+        THREAD_STATS.with(Cell::get)
+    }
+
     #[test]
     fn buckets_round_up_to_powers_of_two() {
         assert_eq!(bucket_for(1), MIN_BUCKET);
@@ -767,11 +793,11 @@ mod tests {
     fn disabled_pool_never_recycles() {
         with_pool(false, || {
             trim();
-            let before = stats();
+            let before = thread_stats();
             let a = PoolVec::zeroed(100);
             drop(a);
             let _b = PoolVec::zeroed(100);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(before, after, "disabled pool must not touch counters");
         });
     }
@@ -780,11 +806,11 @@ mod tests {
     fn stats_count_hits_and_misses() {
         with_pool(true, || {
             trim();
-            let before = stats();
+            let before = thread_stats();
             let a = PoolVec::scratch(256);
             drop(a);
             let b = PoolVec::scratch(256);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(after.misses - before.misses, 1);
             assert_eq!(after.hits - before.hits, 1);
             assert!(after.bytes_recycled > before.bytes_recycled);

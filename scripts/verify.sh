@@ -35,11 +35,13 @@
 #    and asserts bitwise parity on each measured shape;
 #  - the serving pass: an autoac_serve daemon is launched on an ephemeral
 #    port from a freshly trained checkpoint and driven with concurrent
-#    closed-loop clients (serve_bench --connect) twice — batching on and
-#    off — whose response digests must be identical (micro-batching is
-#    bitwise-invisible); /metrics must parse as Prometheus exposition
-#    text, and POST /admin/shutdown must take the daemon down gracefully.
-#    An in-process serve_bench smoke repeats the A/B inside one process.
+#    closed-loop clients (serve_bench --connect); its response digest must
+#    equal the digest of the same bodies built without a server from
+#    direct InferenceModel::logits() rows (serve_bench --reference), so
+#    the served logits table is the model's forward, bit for bit; /metrics
+#    must parse as Prometheus exposition text, and POST /admin/shutdown
+#    must take the daemon down gracefully. An in-process serve_bench smoke
+#    repeats the comparison inside one process, across hot reloads.
 #  - the tracing pass: the same driver load against a daemon with
 #    AUTOAC_TRACE=0 must print a digest identical to the traced run
 #    (request-scoped tracing is bitwise-invisible), and the flight-
@@ -62,11 +64,11 @@ echo "== cargo build --release --workspace =="
 # live in member crates and must be built explicitly.
 cargo build --release --workspace
 
-echo "== cargo test -q (AUTOAC_POOL=0, AUTOAC_NUM_THREADS=1: no recycling, serial kernels) =="
-AUTOAC_SLOW_TESTS=1 AUTOAC_POOL=0 AUTOAC_NUM_THREADS=1 cargo test -q
+echo "== cargo test -q --workspace (AUTOAC_POOL=0, AUTOAC_NUM_THREADS=1: no recycling, serial kernels) =="
+AUTOAC_SLOW_TESTS=1 AUTOAC_POOL=0 AUTOAC_NUM_THREADS=1 cargo test -q --workspace
 
-echo "== cargo test -q (pool enabled, AUTOAC_NUM_THREADS=${MAX_THREADS}, parallel kernels) =="
-AUTOAC_SLOW_TESTS=1 AUTOAC_NUM_THREADS="${MAX_THREADS}" cargo test -q
+echo "== cargo test -q --workspace (pool enabled, AUTOAC_NUM_THREADS=${MAX_THREADS}, parallel kernels) =="
+AUTOAC_SLOW_TESTS=1 AUTOAC_NUM_THREADS="${MAX_THREADS}" cargo test -q --workspace
 
 echo "== checking pass: autoac-lint, suite under AUTOAC_CHECK=1, check_smoke =="
 cargo run -q --release -p autoac-check --bin autoac-lint \
@@ -167,21 +169,20 @@ echo "   AUTOAC_KERNEL=scalar/blocked/auto digests are byte-identical"
 ./target/release/bench_kernels --smoke 1 --out "$WORK/bench_kernels_smoke.json" \
   || { echo "verify.sh: FAIL — bench_kernels smoke (parity or bench) failed"; exit 1; }
 
-echo "== serving pass (autoac_serve + serve_bench: batching A/B, metrics, graceful shutdown) =="
+echo "== serving pass (autoac_serve + serve_bench: served vs direct-forward digest, metrics, graceful shutdown) =="
 SERVE="./target/release/autoac_serve"
 SERVE_BENCH="./target/release/serve_bench"
-# One small checkpoint shared by both daemon launches.
+# One small checkpoint shared by every daemon launch.
 "$SERVE" --train-out "$WORK/serve.ckpt" --epochs 6 --seed 7
 
-serve_drive() { # $1: batching flag ("" or --no-batching), $2: digest file
+serve_drive() { # $1: digest file
   rm -f "$WORK/serve.port"
   # The flight dump is routed into the work dir (default would be
   # results/) and named after the digest file so each launch leaves its
   # own post-mortem for the tracing pass to validate.
-  # shellcheck disable=SC2086
   "$SERVE" --checkpoint "$WORK/serve.ckpt" --addr 127.0.0.1:0 --workers 4 \
     --port-file "$WORK/serve.port" --flight-dir "$WORK/flight" \
-    --run "$(basename "$2")" $1 &
+    --run "$(basename "$1")" &
   local daemon=$!
   for _ in $(seq 1 100); do [ -s "$WORK/serve.port" ] && break; sleep 0.1; done
   [ -s "$WORK/serve.port" ] \
@@ -189,35 +190,38 @@ serve_drive() { # $1: batching flag ("" or --no-batching), $2: digest file
   # Drives concurrent clients, validates /healthz and /metrics exposition
   # text, prints the response digest, and issues POST /admin/shutdown.
   "$SERVE_BENCH" --connect "$(cat "$WORK/serve.port")" --clients 4 --requests 40 \
-    --shutdown | tee "$2.log" \
+    --shutdown | tee "$1.log" \
     || { echo "verify.sh: FAIL — serve_bench driver failed"; kill "$daemon" 2>/dev/null; exit 1; }
-  grep '^digest: ' "$2.log" > "$2"
+  grep '^digest: ' "$1.log" > "$1"
   # The daemon must exit on its own after /admin/shutdown (graceful path).
   wait "$daemon" \
     || { echo "verify.sh: FAIL — autoac_serve exited non-zero after shutdown"; exit 1; }
 }
 
-serve_drive "" "$WORK/serve_digest_batched"
-serve_drive "--no-batching" "$WORK/serve_digest_single"
-diff "$WORK/serve_digest_batched" "$WORK/serve_digest_single" \
-  || { echo "verify.sh: FAIL — batched responses diverged from single-request responses"; exit 1; }
-echo "   batched and unbatched serving digests are byte-identical; graceful shutdown OK"
-# In-process A/B smoke: same assertion plus throughput/latency accounting
-# (the committed results/BENCH_serve.json comes from a full run).
+serve_drive "$WORK/serve_digest_served"
+# The same request set answered without a server, from direct
+# InferenceModel::logits() rows of the same checkpoint.
+"$SERVE_BENCH" --reference "$WORK/serve.ckpt" > "$WORK/serve_digest_reference"
+diff "$WORK/serve_digest_reference" "$WORK/serve_digest_served" \
+  || { echo "verify.sh: FAIL — served responses diverged from direct logits() rows"; exit 1; }
+echo "   served digest is byte-identical to the direct-forward digest; graceful shutdown OK"
+# In-process smoke: the same comparison across hot reloads, plus
+# throughput/latency accounting (the committed results/BENCH_serve.json
+# comes from a full run).
 "$SERVE_BENCH" --smoke --out "$WORK/bench_serve_smoke.json" \
-  || { echo "verify.sh: FAIL — serve_bench in-process A/B failed"; exit 1; }
+  || { echo "verify.sh: FAIL — serve_bench in-process smoke failed"; exit 1; }
 
 echo "== tracing pass (AUTOAC_TRACE digest identity + flight dump validation) =="
 # Request-scoped tracing must be bitwise-invisible to responses: the same
 # driver load against a daemon with tracing disabled must print the same
-# digest as the traced batched run above.
-AUTOAC_TRACE=0 serve_drive "" "$WORK/serve_digest_untraced"
-diff "$WORK/serve_digest_batched" "$WORK/serve_digest_untraced" \
+# digest as the traced run above.
+AUTOAC_TRACE=0 serve_drive "$WORK/serve_digest_untraced"
+diff "$WORK/serve_digest_served" "$WORK/serve_digest_untraced" \
   || { echo "verify.sh: FAIL — AUTOAC_TRACE=0 changed response bytes"; exit 1; }
 echo "   AUTOAC_TRACE=0 serving digest is byte-identical to the traced run"
 # Every daemon above shut down gracefully and left a flight-recorder
 # post-mortem behind; each must parse as strict JSONL with records in it.
-for run in serve_digest_batched serve_digest_single serve_digest_untraced; do
+for run in serve_digest_served serve_digest_untraced; do
   "$SERVE_BENCH" --validate-flight "$WORK/flight/FLIGHT_$run.jsonl" \
     || { echo "verify.sh: FAIL — flight dump for $run is missing or malformed"; exit 1; }
 done
